@@ -133,10 +133,15 @@ pub fn cmd_serve_http(raw: Vec<String>) -> Result<(), CliError> {
         return Err(crate::args::ArgError("--threads must be at least 1".to_string()).into());
     }
 
-    let corpus = corpus_from(&args)?;
-    eprintln!("building engine over {} posts ...", corpus.len());
-    let config = EngineConfig { parallelism: threads, ..EngineConfig::default() };
-    let engine = Arc::new(TklusEngine::try_build(&corpus, &config)?.0);
+    // The boot corpus is dropped once the engine is built: nothing reads
+    // it afterwards, and freeing it keeps the server's peak resident set
+    // down when the write path later grows.
+    let engine = {
+        let corpus = corpus_from(&args)?;
+        eprintln!("building engine over {} posts ...", corpus.len());
+        let config = EngineConfig { parallelism: threads, ..EngineConfig::default() };
+        Arc::new(TklusEngine::try_build(&corpus, &config)?.0)
+    };
 
     // Optional durable write path: open (and replay) the WAL store before
     // the listener exists, so a bound port means writes are accepted.
@@ -184,6 +189,9 @@ pub fn cmd_serve_http(raw: Vec<String>) -> Result<(), CliError> {
     }
     let handle = serve(server, http_cfg.clone())
         .map_err(|e| CliError::General(format!("bind {}: {e}", http_cfg.addr)))?;
+    // Handlers go in before the `listening on` line: a script may send
+    // SIGTERM as soon as it reads that line, and the signal must drain.
+    install_signal_handlers();
     // The contract line scripts scrape (port 0 resolves here).
     println!("listening on http://{}", handle.addr());
     println!(
@@ -198,7 +206,6 @@ pub fn cmd_serve_http(raw: Vec<String>) -> Result<(), CliError> {
         http_cfg.drain_timeout_ms,
     );
 
-    install_signal_handlers();
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -65,10 +65,93 @@ pub struct BPlusTree<S: PageStore, const V: usize> {
     len: u64,
 }
 
-/// Parsed in-memory form of a node page.
+/// Parsed in-memory form of a node page, for the write paths that
+/// rebuild nodes (`insert`, `delete`). Read paths search a [`NodeRef`]
+/// over the page bytes instead.
 enum Node<const V: usize> {
     Leaf { keys: Vec<Key>, vals: Vec<[u8; V]>, next: Option<PageId> },
     Internal { keys: Vec<Key>, children: Vec<PageId> },
+}
+
+/// Zero-copy view of a node page whose tag and entry count have been
+/// validated against the node capacity, so every slot accessor stays in
+/// bounds.
+///
+/// Leaf slots are `(key, value)` pairs; an internal node holds a leading
+/// child pointer followed by `(key, child)` pairs, so child `i` sits at
+/// `i * (KEY_SIZE + CHILD_SIZE)` and key `i` one pointer further on.
+struct NodeRef<'a, const V: usize> {
+    page: &'a Page,
+    leaf: bool,
+    count: usize,
+}
+
+impl<'a, const V: usize> NodeRef<'a, V> {
+    const SLOTS: usize = NODE_BASE + HEADER;
+    const LEAF_STRIDE: usize = KEY_SIZE + V;
+    const INTERNAL_STRIDE: usize = KEY_SIZE + CHILD_SIZE;
+
+    fn new(page: &'a Page, id: PageId) -> StorageResult<Self> {
+        let corrupt = |detail: String| StorageError::CorruptNode { page_id: id, detail };
+        let count = u16::from_le_bytes([page[NODE_BASE + 2], page[NODE_BASE + 3]]) as usize;
+        let (leaf, kind, capacity) = match page[NODE_BASE] {
+            NODE_LEAF => (true, "leaf", Node::<V>::leaf_capacity()),
+            NODE_INTERNAL => (false, "internal", Node::<V>::internal_capacity()),
+            t => return Err(corrupt(format!("unknown node tag {t}"))),
+        };
+        if count > capacity {
+            return Err(corrupt(format!("{kind} count {count} exceeds capacity {capacity}")));
+        }
+        Ok(Self { page, leaf, count })
+    }
+
+    fn key(&self, i: usize) -> Key {
+        if self.leaf {
+            read_key(self.page, Self::SLOTS + i * Self::LEAF_STRIDE)
+        } else {
+            read_key(self.page, Self::SLOTS + CHILD_SIZE + i * Self::INTERNAL_STRIDE)
+        }
+    }
+
+    /// Leaf value `i`.
+    fn val(&self, i: usize) -> [u8; V] {
+        let off = Self::SLOTS + i * Self::LEAF_STRIDE + KEY_SIZE;
+        let mut v = [0u8; V];
+        v.copy_from_slice(&self.page[off..off + V]);
+        v
+    }
+
+    /// Internal child `i`, for `i` in `0..=count`.
+    fn child(&self, i: usize) -> PageId {
+        PageId(read_u64(self.page, Self::SLOTS + i * Self::INTERNAL_STRIDE))
+    }
+
+    /// Leaf chain successor.
+    fn next(&self) -> Option<PageId> {
+        let raw = read_u64(self.page, NODE_BASE + 8);
+        (raw != NO_NEXT).then_some(PageId(raw))
+    }
+
+    /// Number of keys satisfying `pred`, which must hold for a prefix of
+    /// the (sorted) keys: a binary search over the key slots.
+    fn partition_point(&self, pred: impl Fn(Key) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Internal node: the child whose subtree holds `key` (the first
+    /// separator strictly greater than `key` bounds it on the right).
+    fn descend(&self, key: Key) -> PageId {
+        self.child(self.partition_point(|k| k <= key))
+    }
 }
 
 impl<const V: usize> Node<V> {
@@ -82,53 +165,17 @@ impl<const V: usize> Node<V> {
     }
 
     fn parse(page: &Page, id: PageId) -> StorageResult<Self> {
-        let corrupt = |detail: String| StorageError::CorruptNode { page_id: id, detail };
-        let count = u16::from_le_bytes([page[NODE_BASE + 2], page[NODE_BASE + 3]]) as usize;
-        match page[NODE_BASE] {
-            NODE_LEAF => {
-                if count > Self::leaf_capacity() {
-                    return Err(corrupt(format!(
-                        "leaf count {count} exceeds capacity {}",
-                        Self::leaf_capacity()
-                    )));
-                }
-                let next_raw = read_u64(page, NODE_BASE + 8);
-                let next = (next_raw != NO_NEXT).then_some(PageId(next_raw));
-                let mut keys = Vec::with_capacity(count);
-                let mut vals = Vec::with_capacity(count);
-                let mut off = NODE_BASE + HEADER;
-                for _ in 0..count {
-                    keys.push(read_key(page, off));
-                    off += KEY_SIZE;
-                    let mut v = [0u8; V];
-                    v.copy_from_slice(&page[off..off + V]);
-                    vals.push(v);
-                    off += V;
-                }
-                Ok(Node::Leaf { keys, vals, next })
+        let node = NodeRef::<V>::new(page, id)?;
+        let keys = (0..node.count).map(|i| node.key(i)).collect();
+        Ok(if node.leaf {
+            Node::Leaf {
+                keys,
+                vals: (0..node.count).map(|i| node.val(i)).collect(),
+                next: node.next(),
             }
-            NODE_INTERNAL => {
-                if count > Self::internal_capacity() {
-                    return Err(corrupt(format!(
-                        "internal count {count} exceeds capacity {}",
-                        Self::internal_capacity()
-                    )));
-                }
-                let mut off = NODE_BASE + HEADER;
-                let mut children = Vec::with_capacity(count + 1);
-                children.push(PageId(read_u64(page, off)));
-                off += CHILD_SIZE;
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(read_key(page, off));
-                    off += KEY_SIZE;
-                    children.push(PageId(read_u64(page, off)));
-                    off += CHILD_SIZE;
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            t => Err(corrupt(format!("unknown node tag {t}"))),
-        }
+        } else {
+            Node::Internal { keys, children: (0..=node.count).map(|i| node.child(i)).collect() }
+        })
     }
 
     fn serialize(&self) -> Page {
@@ -232,18 +279,19 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         self.store.write(id, &node.serialize())
     }
 
-    /// Point lookup.
+    /// Point lookup: one page read per level, searching each page's key
+    /// slots in place.
     pub fn get(&self, key: Key) -> StorageResult<Option<[u8; V]>> {
         let mut id = self.root;
         loop {
-            match self.load(id)? {
-                Node::Internal { keys, children } => {
-                    id = children[upper_bound(&keys, key)];
-                }
-                Node::Leaf { keys, vals, .. } => {
-                    return Ok(keys.binary_search(&key).ok().map(|i| vals[i]));
-                }
+            let page = self.store.read(id)?;
+            let node = NodeRef::<V>::new(&page, id)?;
+            if !node.leaf {
+                id = node.descend(key);
+                continue;
             }
+            let i = node.partition_point(|k| k < key);
+            return Ok((i < node.count && node.key(i) == key).then(|| node.val(i)));
         }
     }
 
@@ -529,36 +577,32 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         }
     }
 
-    /// Inclusive range scan `lo ..= hi`, in key order.
+    /// Inclusive range scan `lo ..= hi`, in key order. Descends to the
+    /// leaf holding `lo`, then walks the leaf chain, decoding only the
+    /// entries it returns.
     pub fn scan(&self, lo: Key, hi: Key) -> StorageResult<Vec<(Key, [u8; V])>> {
         let mut out = Vec::new();
         if lo > hi {
             return Ok(out);
         }
-        // Descend to the leaf containing lo: the first separator strictly
-        // greater than lo bounds the child on the right.
         let mut id = self.root;
         loop {
-            match self.load(id)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&x| x <= lo);
-                    id = children[idx];
+            let page = self.store.read(id)?;
+            let node = NodeRef::<V>::new(&page, id)?;
+            if !node.leaf {
+                id = node.descend(lo);
+                continue;
+            }
+            for i in node.partition_point(|k| k < lo)..node.count {
+                let k = node.key(i);
+                if k > hi {
+                    return Ok(out);
                 }
-                // Walk the leaf chain.
-                Node::Leaf { keys, vals, next } => {
-                    for (k, v) in keys.iter().zip(&vals) {
-                        if *k > hi {
-                            return Ok(out);
-                        }
-                        if *k >= lo {
-                            out.push((*k, *v));
-                        }
-                    }
-                    match next {
-                        Some(n) => id = n,
-                        None => return Ok(out),
-                    }
-                }
+                out.push((k, node.val(i)));
+            }
+            match node.next() {
+                Some(n) => id = n,
+                None => return Ok(out),
             }
         }
     }
@@ -773,31 +817,81 @@ mod tests {
         let _ = Tree::bulk_load(MemPager::new(), &[((2, 0), v(1)), ((1, 0), v(2))]);
     }
 
+    /// A tall tree whose page 0 is a leaf (bulk load allocates leaves
+    /// first) and whose root is internal.
+    fn tall_tree() -> Tree {
+        let e: Vec<(Key, [u8; 8])> = (0..5_000u64).map(|k| ((k, 0), v(k))).collect();
+        let t = Tree::bulk_load(MemPager::new(), &e).unwrap();
+        assert!(t.height() >= 1);
+        t
+    }
+
+    fn scribble(t: &Tree, id: PageId, f: impl FnOnce(&mut Page)) {
+        let mut raw = t.store().read(id).unwrap();
+        f(&mut raw);
+        t.store().write(id, &raw).unwrap();
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(r: StorageResult<T>, id: PageId) {
+        match r {
+            Err(StorageError::CorruptNode { page_id, .. }) => assert_eq!(page_id, id),
+            other => panic!("want CorruptNode on {id}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_node_tag_is_a_typed_error() {
-        let t = Tree::bulk_load(
-            MemPager::new(),
-            &(0..10u64).map(|k| ((k, 0), v(k))).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        // Scribble an impossible tag over the root node.
-        let mut raw = t.store().read(PageId(0)).unwrap();
-        raw[NODE_BASE] = 9;
-        t.store().write(PageId(0), &raw).unwrap();
-        assert!(matches!(t.get((0, 0)), Err(StorageError::CorruptNode { .. })));
+        for leaf in [true, false] {
+            let t = tall_tree();
+            let id = if leaf { PageId(0) } else { t.root };
+            scribble(&t, id, |p| p[NODE_BASE] = 0x7F);
+            assert_corrupt(t.get((0, 0)), id);
+            assert_corrupt(t.scan((0, 0), (10, 0)), id);
+            assert_corrupt(t.scan_major(0), id);
+        }
     }
 
     #[test]
     fn impossible_count_is_a_typed_error() {
-        let t = Tree::bulk_load(
-            MemPager::new(),
-            &(0..10u64).map(|k| ((k, 0), v(k))).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let mut raw = t.store().read(PageId(0)).unwrap();
-        raw[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&u16::MAX.to_le_bytes());
-        t.store().write(PageId(0), &raw).unwrap();
-        assert!(matches!(t.get((0, 0)), Err(StorageError::CorruptNode { .. })));
+        for leaf in [true, false] {
+            let t = tall_tree();
+            let (id, cap) = if leaf {
+                (PageId(0), Node::<8>::leaf_capacity())
+            } else {
+                (t.root, Node::<8>::internal_capacity())
+            };
+            scribble(&t, id, |p| {
+                p[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&(cap as u16 + 1).to_le_bytes())
+            });
+            assert_corrupt(t.get((0, 0)), id);
+            assert_corrupt(t.scan((0, 0), (10, 0)), id);
+            assert_corrupt(t.scan_major(0), id);
+        }
+    }
+
+    #[test]
+    fn garbage_slots_at_full_count_never_index_out_of_bounds() {
+        // A count exactly at capacity passes the structural check; the
+        // slot accessors must still stay inside the page whatever the
+        // bytes say. Garbage child / next pointers name unallocated pages.
+        for leaf in [true, false] {
+            let t = tall_tree();
+            let (id, tag, cap) = if leaf {
+                (PageId(0), NODE_LEAF, Node::<8>::leaf_capacity())
+            } else {
+                (t.root, NODE_INTERNAL, Node::<8>::internal_capacity())
+            };
+            scribble(&t, id, |p| {
+                p[NODE_BASE..].fill(0xA5);
+                p[NODE_BASE] = tag;
+                p[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&(cap as u16).to_le_bytes());
+            });
+            for key in [(0, 0), (0xA5A5_A5A5_A5A5_A5A5, 0xA5A5_A5A5_A5A5_A5A5), (u64::MAX, 0)] {
+                let _ = t.get(key);
+                let _ = t.scan(key, (u64::MAX, u64::MAX));
+                let _ = t.scan_major(key.0);
+            }
+        }
     }
 
     #[test]
@@ -915,5 +1009,157 @@ mod delete_rebalance_tests {
         for k in 29_900..30_000u64 {
             assert_eq!(t.get((k, 0)).unwrap(), Some(v(k)));
         }
+    }
+}
+
+/// The read paths search page bytes in place; these tests hold them to the
+/// decode-everything `Node::parse` path they replaced: same answers, same
+/// physical page reads, same typed errors on corrupt nodes.
+#[cfg(test)]
+mod zero_copy_read_tests {
+    #![allow(clippy::unwrap_used)]
+    use super::*;
+    use crate::pager::MemPager;
+
+    type Entries<const V: usize> = Vec<(Key, [u8; V])>;
+
+    /// Point lookup by full node decode.
+    fn parse_get<const V: usize>(t: &BPlusTree<MemPager, V>, key: Key) -> Option<[u8; V]> {
+        let mut id = t.root;
+        loop {
+            match t.load(id).unwrap() {
+                Node::Internal { keys, children } => id = children[upper_bound(&keys, key)],
+                Node::Leaf { keys, vals, .. } => {
+                    return keys.binary_search(&key).ok().map(|i| vals[i])
+                }
+            }
+        }
+    }
+
+    /// Range scan by full node decode.
+    fn parse_scan<const V: usize>(t: &BPlusTree<MemPager, V>, lo: Key, hi: Key) -> Entries<V> {
+        let mut out = Vec::new();
+        if lo > hi {
+            return out;
+        }
+        let mut id = t.root;
+        loop {
+            match t.load(id).unwrap() {
+                Node::Internal { keys, children } => id = children[upper_bound(&keys, lo)],
+                Node::Leaf { keys, vals, next } => {
+                    for (k, v) in keys.iter().zip(&vals) {
+                        if *k > hi {
+                            return out;
+                        }
+                        if *k >= lo {
+                            out.push((*k, *v));
+                        }
+                    }
+                    match next {
+                        Some(n) => id = n,
+                        None => return out,
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `f` and returns its result with the physical page reads it made.
+    fn counted<const V: usize, R>(t: &BPlusTree<MemPager, V>, f: impl FnOnce() -> R) -> (R, u64) {
+        let before = t.store().stats().page_reads();
+        let r = f();
+        (r, t.store().stats().page_reads() - before)
+    }
+
+    fn val<const V: usize>(k: Key) -> [u8; V] {
+        let mut v = [0u8; V];
+        for (i, b) in v.iter_mut().enumerate() {
+            *b = (k.0 ^ k.1.rotate_left(7) ^ i as u64) as u8;
+        }
+        v
+    }
+
+    /// Secondary-index shape: major `m` carries `m % 7` minors (some none).
+    fn entries<const V: usize>(majors: u64) -> Entries<V> {
+        (0..majors)
+            .flat_map(|m| (0..m % 7).map(move |s| ((m * 3, s * 11), val((m * 3, s * 11)))))
+            .collect()
+    }
+
+    /// Checks every read path against the decode path over a spread of
+    /// present and absent keys and ranges: same answers, same page reads.
+    fn assert_reads_match<const V: usize>(t: &BPlusTree<MemPager, V>, majors: u64) {
+        let top = majors * 3 + 2;
+        let step = (top / 97).max(1);
+        for m in (0..=top).step_by(step as usize) {
+            for s in [0, 11, 12, 55, u64::MAX] {
+                let (got, reads) = counted(t, || t.get((m, s)).unwrap());
+                let (want, want_reads) = counted(t, || parse_get(t, (m, s)));
+                assert_eq!(got, want, "get ({m}, {s})");
+                assert_eq!(reads, want_reads, "get ({m}, {s}) page reads");
+                assert_eq!(reads as usize, t.height() + 1, "one read per level");
+            }
+            let (got, reads) = counted(t, || t.scan_major(m).unwrap());
+            let (want, want_reads) = counted(t, || parse_scan(t, (m, 0), (m, u64::MAX)));
+            assert_eq!(got, want, "scan_major {m}");
+            assert_eq!(reads, want_reads, "scan_major {m} page reads");
+        }
+        let ranges = [
+            ((0, 0), (u64::MAX, u64::MAX)),
+            ((0, 0), (top / 2, 5)),
+            ((top / 3, 12), (top / 3 * 2, 0)),
+            ((top, 0), (top + 5, 0)),
+            ((7, 0), (3, 0)),
+            ((top + 10, 0), (u64::MAX, 0)),
+        ];
+        for (lo, hi) in ranges {
+            let (got, reads) = counted(t, || t.scan(lo, hi).unwrap());
+            let (want, want_reads) = counted(t, || parse_scan(t, lo, hi));
+            assert_eq!(got, want, "scan {lo:?}..={hi:?}");
+            assert_eq!(reads, want_reads, "scan {lo:?}..={hi:?} page reads");
+        }
+    }
+
+    fn check_value_width<const V: usize>() {
+        for majors in [0u64, 1, 40, 400, 12_000] {
+            let e = entries::<V>(majors);
+            let bulk = BPlusTree::<MemPager, V>::bulk_load(MemPager::new(), &e).unwrap();
+            assert_reads_match(&bulk, majors);
+
+            // The same entries inserted in a scrambled order, then a third
+            // deleted: split, borrowed and merged nodes.
+            let mut t = BPlusTree::<MemPager, V>::new(MemPager::new()).unwrap();
+            let n = e.len() as u64;
+            for i in 0..n {
+                let (k, v) = e[((i * 2_654_435_761) % n.max(1)) as usize];
+                t.insert(k, v).unwrap();
+            }
+            for (k, _) in e.iter().step_by(3) {
+                t.delete(*k).unwrap();
+            }
+            assert_reads_match(&t, majors);
+        }
+    }
+
+    #[test]
+    fn reads_match_decode_path_for_every_value_width() {
+        // Reply index (empty values), user index, primary index widths.
+        check_value_width::<0>();
+        check_value_width::<16>();
+        check_value_width::<40>();
+    }
+
+    #[test]
+    fn scan_spanning_many_leaves_matches_decode_path() {
+        let e: Entries<8> =
+            (0..20_000u64).map(|k| ((k / 50, k % 50), val((k / 50, k % 50)))).collect();
+        let t = BPlusTree::bulk_load(MemPager::new(), &e).unwrap();
+        assert!(t.height() >= 1);
+        let (got, reads) = counted(&t, || t.scan((10, 3), (380, 7)).unwrap());
+        let (want, want_reads) = counted(&t, || parse_scan(&t, (10, 3), (380, 7)));
+        assert_eq!(got, want);
+        assert_eq!(reads, want_reads);
+        let leaf_cap = Node::<8>::leaf_capacity() as u64;
+        assert!(reads > (got.len() as u64) / leaf_cap, "walked the leaf chain");
     }
 }

@@ -72,11 +72,13 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Inserts into an already-locked shard, evicting that shard's
-    /// least-recently-stamped page if it is at budget.
-    fn cache_put_locked(&self, shard: &mut HashMap<PageId, (Page, u64)>, id: PageId, page: Page) {
+    /// least-recently-stamped page if it is at budget. A zero-capacity
+    /// pool returns before copying the page.
+    fn cache_put_locked(&self, shard: &mut HashMap<PageId, (Page, u64)>, id: PageId, page: &Page) {
         if self.shard_capacity == 0 {
             return;
         }
+        let page = page.clone();
         let stamp = self.touch();
         if let std::collections::hash_map::Entry::Occupied(mut e) = shard.entry(id) {
             e.insert((page, stamp));
@@ -109,7 +111,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         // and readers of other shards are unaffected. A failed read is not
         // cached — a later retry goes back to the inner store.
         let page = self.inner.read(id)?;
-        self.cache_put_locked(&mut shard, id, page.clone());
+        self.cache_put_locked(&mut shard, id, &page);
         Ok(page)
     }
 
@@ -118,7 +120,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         // left untouched so it never serves pages the store does not hold.
         self.inner.write(id, page)?;
         let mut shard = self.shard(id).lock();
-        self.cache_put_locked(&mut shard, id, page.clone());
+        self.cache_put_locked(&mut shard, id, page);
         Ok(())
     }
 

@@ -186,3 +186,40 @@ proptest! {
         prop_assert_eq!(tree.len(), model.len() as u64);
     }
 }
+
+/// Byte-at-a-time reflected IEEE CRC32: the reference the slice-by-16
+/// [`tklus_storage::crc32`] must match bit for bit.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+        *slot = c;
+    }
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Slice-by-16 equals the byte-wise loop over random lengths 0–8 KiB
+    /// and start offsets, so stored checksums (pages, WAL frames, seal
+    /// files, index `checksums.tsv`) keep their meaning.
+    #[test]
+    fn crc32_matches_bytewise_reference(
+        buf in proptest::collection::vec(any::<u8>(), 0..8208),
+        start in 0usize..16,
+        len in 0usize..=8192,
+    ) {
+        let start = start.min(buf.len());
+        let end = (start + len).min(buf.len());
+        let slice = &buf[start..end];
+        prop_assert_eq!(tklus_storage::crc32(slice), crc32_bytewise(slice));
+    }
+}

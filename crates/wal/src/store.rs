@@ -50,10 +50,11 @@
 //! 1. **Snapshot** (read lock): record the seq fence (the highest acked
 //!    seq), clone the acked set, and note which partitions the live
 //!    records touch. Ingest resumes the moment the lock drops.
-//! 2. **Build** (no lock): rebuild the engine over the snapshot, write
-//!    the touched partitions' replacement seal files (fsynced), and stage
-//!    `MANIFEST.tmp` — fsynced but **not** renamed. Queries and ingest
-//!    run concurrently throughout.
+//! 2. **Build** (no lock): write the touched partitions' replacement seal
+//!    files (fsynced), stage `MANIFEST.tmp` — fsynced but **not**
+//!    renamed — and then rebuild the engine over the snapshot, whose
+//!    posts move into the build's corpus. Queries and ingest run
+//!    concurrently throughout.
 //! 3. **Swap** (write lock): `MANIFEST.tmp → MANIFEST` is the atomic
 //!    commit point; then install the built engine, advance the sealed
 //!    prefix to the fence, and re-apply the records acked *during* the
@@ -272,6 +273,32 @@ impl Manifest {
     }
 }
 
+/// Hands freed heap pages back to the OS after a seal. A round frees a
+/// whole engine (the replaced one plus the build's transient, which grow
+/// with every acked post), but glibc keeps freed memory resident in the
+/// arena it came from, so without the trim the resident set ratchets up
+/// round after round.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_heap() {
+    unsafe extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and only returns free
+    // memory to the OS; it is safe to call from any thread at any time.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_heap() {}
+
+/// Owned copies of the records' posts, for an engine build that must leave
+/// the records in place.
+fn posts_of(records: &[WalRecord]) -> Vec<Post> {
+    records.iter().map(|r| r.post.clone()).collect()
+}
+
 /// The name of generation `generation`'s seal file for geohash group `g`.
 pub fn seal_name(generation: u64, group: char) -> String {
     format!("seal-{generation:08}-{group}.log")
@@ -483,7 +510,7 @@ impl IngestStore {
             recovery.max_ordinal.map_or(0, |o| o + 1),
         )?;
 
-        let engine = Self::build_engine(&sealed, &config.engine)?;
+        let engine = Self::build_engine(posts_of(&sealed), &config.engine)?;
         let groups: Vec<char> = sealed.iter().map(|r| Self::post_group(&engine, &r.post)).collect();
         let mut inner = Inner {
             engine,
@@ -525,9 +552,10 @@ impl IngestStore {
         Ok((store, report))
     }
 
-    fn build_engine(sealed: &[WalRecord], config: &EngineConfig) -> Result<TklusEngine, WalError> {
-        let corpus = Corpus::new(sealed.iter().map(|r| r.post.clone()).collect())
-            .map_err(|d| WalError::DuplicateTweet(d.0))?;
+    /// Builds the sealed engine over `posts`, which the build's `Corpus`
+    /// takes by value and drops once the engine exists.
+    fn build_engine(posts: Vec<Post>, config: &EngineConfig) -> Result<TklusEngine, WalError> {
+        let corpus = Corpus::new(posts).map_err(|d| WalError::DuplicateTweet(d.0))?;
         let (engine, _report) = TklusEngine::try_build(&corpus, config)?;
         Ok(engine)
     }
@@ -633,7 +661,7 @@ impl IngestStore {
     /// acked records" after a half-applied record.
     fn rebuild_live(&self, inner: &mut Inner) -> Result<(), WalError> {
         let sealed = &inner.acked[..inner.sealed_len];
-        let mut engine = Self::build_engine(sealed, &self.config.engine)?;
+        let mut engine = Self::build_engine(posts_of(sealed), &self.config.engine)?;
         let mut memtable = self.fresh_memtable();
         let mut fanout: HashMap<TweetId, usize> = HashMap::new();
         for rec in &inner.acked {
@@ -840,7 +868,10 @@ impl IngestStore {
             CompactionStrategy::FullLatch => self.compact_full_latch(),
         };
         match &result {
-            Ok(_) => {
+            Ok(sealed) => {
+                if *sealed {
+                    release_freed_heap();
+                }
                 self.stats.successes.fetch_add(1, Ordering::Relaxed);
                 self.stats.consecutive_failures.store(0, Ordering::Relaxed);
             }
@@ -900,12 +931,13 @@ impl IngestStore {
             )
         };
 
-        // Phase 2 — build outside any lock: the replacement engine, the
-        // touched partitions' seal files, and the staged manifest.
+        // Phase 2 — build outside any lock: the touched partitions' seal
+        // files, the staged manifest, and the replacement engine. The
+        // files are staged first so the engine's corpus can take the
+        // snapshot's posts by value instead of copying them again.
         // Nothing here is visible to recovery until the rename below; on
         // error the staged files are swept (and reopen sweeps whatever a
         // crash leaves).
-        let engine = Self::build_engine(&snapshot, &self.config.engine)?;
         let mut files = carried;
         let mut created = Vec::new();
         if let Err(e) = self.stage_partitions(
@@ -920,6 +952,15 @@ impl IngestStore {
             self.remove_aborted(&created);
             return Err(e);
         }
+        let sealed_len = snapshot.len();
+        let posts = snapshot.into_iter().map(|r| r.post).collect();
+        let engine = match Self::build_engine(posts, &self.config.engine) {
+            Ok(engine) => engine,
+            Err(e) => {
+                self.remove_aborted(&created);
+                return Err(e);
+            }
+        };
 
         // Phase 3 — seq-fenced validate-and-swap under the write latch.
         let mut inner = self.inner.write();
@@ -939,7 +980,6 @@ impl IngestStore {
         // the snapshot, live = the records acked during the build (their
         // seqs are above the fence, so recovery replays them from the
         // WAL, which the fenced trim keeps).
-        let sealed_len = snapshot.len();
         inner.sealed_len = sealed_len;
         inner.sealed_seq = fence;
         inner.generation = generation;
@@ -986,7 +1026,7 @@ impl IngestStore {
         }
         let generation = inner.generation + 1;
         let fence = inner.max_seq;
-        let engine = Self::build_engine(&inner.acked, &self.config.engine)?;
+        let engine = Self::build_engine(posts_of(&inner.acked), &self.config.engine)?;
         let touched: BTreeSet<char> = inner.groups.iter().copied().collect();
         let mut files = BTreeMap::new();
         let mut created = Vec::new();
