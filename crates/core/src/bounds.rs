@@ -94,6 +94,13 @@ impl BoundsTable {
         Self { global, hot }
     }
 
+    /// A table from its parts: the global bound and the hot-keyword
+    /// bounds. The caller vouches that each bound dominates φ of every
+    /// thread it covers (e.g. bounds carried over from a table that did).
+    pub fn with_hot(global: f64, hot: HashMap<TermId, f64>) -> Self {
+        Self { global, hot }
+    }
+
     /// A table with only the global bound (no hot keywords).
     pub fn global_only(global: f64) -> Self {
         Self { global, hot: HashMap::new() }
@@ -140,6 +147,11 @@ impl BoundsTable {
     /// The keyword-specific bound, if `term` is hot.
     pub fn hot_bound(&self, term: TermId) -> Option<f64> {
         self.hot.get(&term).copied()
+    }
+
+    /// The hot keywords, in no particular order.
+    pub fn hot_terms(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.hot.keys().copied()
     }
 
     /// Number of hot keywords tracked.

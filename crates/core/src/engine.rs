@@ -24,6 +24,8 @@ use crate::query::{
     StageClock,
 };
 use crate::scratch::ScratchPool;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::Point;
 use tklus_graph::{try_build_thread, upper_bound_popularity, SocialNetwork};
@@ -128,11 +130,16 @@ impl std::fmt::Debug for EngineConfig {
 /// DFS) uses interior mutability, so one engine can serve many client
 /// threads at once.
 pub struct TklusEngine {
-    index: HybridIndex,
+    /// Shared so a compactor can snapshot the sealed index without
+    /// copying it while queries keep reading it.
+    index: Arc<HybridIndex>,
     db: MetadataDb,
     bounds: BoundsTable,
     pipeline: TextPipeline,
     scoring: ScoringConfig,
+    /// How many top terms carry a hot-keyword bound
+    /// (`EngineConfig::hot_keywords`).
+    hot_keywords: usize,
     parallelism: usize,
     caches: QueryCaches,
     /// Pooled per-query scratch allocations (block unpack buffers, the
@@ -216,11 +223,12 @@ impl TklusEngine {
             |tid, phi| caches.thread.insert(tid, phi),
         );
         Ok(Self {
-            index,
+            index: Arc::new(index),
             db,
             bounds,
             pipeline: TextPipeline::new(),
             scoring: config.scoring,
+            hot_keywords: config.hot_keywords,
             parallelism: config.parallelism.max(1),
             caches,
             scratch: ScratchPool::new(),
@@ -231,6 +239,12 @@ impl TklusEngine {
     /// The hybrid index.
     pub fn index(&self) -> &HybridIndex {
         &self.index
+    }
+
+    /// A shared handle to the hybrid index: a compactor merges the next
+    /// generation from it off the latch while queries keep reading it.
+    pub fn index_arc(&self) -> Arc<HybridIndex> {
+        Arc::clone(&self.index)
     }
 
     /// The metadata database. Lookups take `&self` — buffer-pool state is
@@ -247,6 +261,19 @@ impl TklusEngine {
     /// The precomputed bounds table.
     pub fn bounds(&self) -> &BoundsTable {
         &self.bounds
+    }
+
+    /// The terms carrying a hot-keyword bound, as sorted strings (term
+    /// ids are index-specific; strings compare across engines).
+    pub fn hot_terms(&self) -> Vec<String> {
+        let vocab = self.index.vocab();
+        let mut terms: Vec<String> = self
+            .bounds
+            .hot_terms()
+            .map(|t| vocab.term(t).expect("hot terms are interned").to_string())
+            .collect();
+        terms.sort_unstable();
+        terms
     }
 
     /// The scoring configuration.
@@ -612,6 +639,78 @@ impl TklusEngine {
         let bound =
             upper_bound_popularity(max_fanout, self.scoring.thread_depth, self.scoring.epsilon);
         self.bounds.raise_global(bound)
+    }
+
+    /// Installs `index` — the current index merged with a delta of newly
+    /// sealed posts (`tklus_index::merge_indexes`) — into this live
+    /// engine, whose metadata database already holds every acked post.
+    /// `unsealed` are the acked posts the new index does not cover.
+    ///
+    /// The hot set is re-picked as a build picks it, the merged
+    /// vocabulary's top [`EngineConfig::hot_keywords`] terms, and the
+    /// hot bounds are re-keyed by term string (term ids change across a
+    /// merge):
+    ///
+    /// * a term that stays hot keeps its loosen-only bound, which
+    ///   already dominates φ of every acked post carrying it;
+    /// * a term that becomes hot gets its exact bound, the largest φ
+    ///   (Algorithm 1 over the live metadata database) over every post
+    ///   carrying it — the new index's postings plus `unsealed`.
+    ///
+    /// The global bound already covers every acked post's fan-out and is
+    /// kept. The postings cache is keyed by term id, so it is cleared;
+    /// the thread and cover caches depend on neither and stay. On error
+    /// the engine is unchanged.
+    pub fn try_install_index<'p>(
+        &mut self,
+        index: Arc<HybridIndex>,
+        unsealed: impl IntoIterator<Item = &'p Post>,
+    ) -> Result<(), EngineError> {
+        let mut hot: HashMap<TermId, f64> = HashMap::new();
+        let mut fresh: HashMap<TermId, f64> = HashMap::new();
+        for (term, _) in index.vocab().top_terms(self.hot_keywords) {
+            let text = index.vocab().term(term).expect("top terms are interned");
+            match self.index.vocab().get(text).and_then(|old| self.bounds.hot_bound(old)) {
+                Some(bound) => hot.insert(term, bound),
+                None => fresh.insert(term, self.scoring.epsilon),
+            };
+        }
+        if !fresh.is_empty() {
+            let mut carriers: Vec<(TermId, TweetId)> = Vec::new();
+            for &((_, term), loc) in index.forward().iter() {
+                if fresh.contains_key(&term) {
+                    let (list, _) = index.try_read_postings(loc)?;
+                    carriers.extend(list.postings().iter().map(|p| (term, p.id)));
+                }
+            }
+            for post in unsealed {
+                for text in self.pipeline.terms(&post.text) {
+                    if let Some(term) = index.vocab().get(&text).filter(|t| fresh.contains_key(t)) {
+                        carriers.push((term, post.id));
+                    }
+                }
+            }
+            let mut phis: HashMap<TweetId, f64> = HashMap::new();
+            for (term, tid) in carriers {
+                let phi = match phis.get(&tid) {
+                    Some(&phi) => phi,
+                    None => {
+                        let phi = self.try_thread_phi(tid)?;
+                        phis.insert(tid, phi);
+                        phi
+                    }
+                };
+                let bound = fresh.get_mut(&term).expect("fresh term");
+                if phi > *bound {
+                    *bound = phi;
+                }
+            }
+            hot.extend(fresh);
+        }
+        self.bounds = BoundsTable::with_hot(self.bounds.global(), hot);
+        self.index = index;
+        self.caches.postings.clear();
+        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@ use tklus_geo::{encode, Geohash};
 use tklus_mapreduce::{run_job, JobConfig, Mapper, RangePartitioner, Reducer};
 use tklus_model::Post;
 use tklus_storage::{Dfs, DfsConfig};
-use tklus_text::{TextPipeline, Vocab};
+use tklus_text::{TermId, TextPipeline, Vocab};
 
 /// Configuration of an index build.
 #[derive(Debug, Clone)]
@@ -129,6 +129,79 @@ fn geohash_splits(n: usize) -> Vec<(Geohash, String)> {
         .collect()
 }
 
+/// Encodes one postings list in the index's on-DFS format.
+pub(crate) fn encode_list(format: PostingsFormat, list: &PostingsList) -> Vec<u8> {
+    match format {
+        PostingsFormat::Flat => list.encode(),
+        PostingsFormat::Block => BlockPostings::from_list(list).encode(),
+    }
+}
+
+/// Receives one partition's postings lists, in key order, for [`lay_out`].
+pub(crate) struct PartitionWriter<'a> {
+    partition: u32,
+    file: Vec<u8>,
+    vocab: &'a mut Vocab,
+    entries: &'a mut Vec<((Geohash, TermId), PostingsLocation)>,
+}
+
+impl PartitionWriter<'_> {
+    /// Appends the encoded list of `⟨geohash, term⟩` to the partition
+    /// file and records its directory entry. Terms are interned on first
+    /// push, so term ids follow partition-then-key order.
+    pub(crate) fn push(&mut self, geohash: Geohash, term: &str, bytes: &[u8]) -> TermId {
+        let term_id = self.vocab.intern(term);
+        self.entries.push((
+            (geohash, term_id),
+            PostingsLocation {
+                partition: self.partition,
+                offset: self.file.len() as u64,
+                len: bytes.len() as u32,
+            },
+        ));
+        self.file.extend_from_slice(bytes);
+        term_id
+    }
+
+    /// Adds corpus occurrences to a pushed term's frequency.
+    pub(crate) fn add_occurrences(&mut self, term: TermId, n: u64) {
+        self.vocab.add_occurrences(term, n);
+    }
+}
+
+/// The layout shared by [`build_index`] and
+/// [`crate::merge::merge_indexes`], so the two cannot drift: `fill` pushes
+/// partition `p`'s lists in sorted key order, each partition becomes one
+/// DFS file on node `p`, and the directory is sorted by
+/// `(geohash, term-id)`.
+pub(crate) fn lay_out(
+    config: &IndexBuildConfig,
+    mut fill: impl FnMut(usize, &mut PartitionWriter<'_>),
+) -> (ForwardIndex, Vocab, Dfs) {
+    let dfs = Dfs::new(DfsConfig {
+        nodes: config.nodes,
+        block_size: config.block_size,
+        replication: config.replication,
+    });
+    let mut vocab = Vocab::new();
+    let mut entries = Vec::new();
+    for part in 0..config.nodes {
+        let mut out = PartitionWriter {
+            partition: part as u32,
+            file: Vec::new(),
+            vocab: &mut vocab,
+            entries: &mut entries,
+        };
+        fill(part, &mut out);
+        let file = out.file;
+        dfs.create_on(&HybridIndex::partition_file(part as u32), file, part).expect("fresh DFS");
+    }
+    // Directory order is (geohash, term-id); term ids are assigned in
+    // first-encounter order, so re-sort before building the directory.
+    entries.sort_by_key(|e| e.0);
+    (ForwardIndex::from_sorted(entries), vocab, dfs)
+}
+
 /// Builds the hybrid index over `posts` with the MapReduce pipeline and
 /// returns it together with a build report.
 ///
@@ -159,43 +232,16 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
 
     // Driver: lay each partition out as one DFS file on its own node, in
     // sorted key order, while building the dictionary and directory.
-    let dfs = Dfs::new(DfsConfig {
-        nodes: config.nodes,
-        block_size: config.block_size,
-        replication: config.replication,
-    });
-    let mut vocab = Vocab::new();
-    let mut entries: Vec<((Geohash, tklus_text::TermId), PostingsLocation)> = Vec::new();
     let mut postings_total = 0u64;
-    for (part_idx, partition) in job.partitions.iter().enumerate() {
-        let mut file = Vec::new();
-        for ((gh, term), list) in partition {
-            let term_id = vocab.intern(term);
+    let (forward, vocab, dfs) = lay_out(config, |part, out| {
+        for ((gh, term), list) in &job.partitions[part] {
+            let term_id = out.push(*gh, term, &encode_list(config.postings_format, list));
             // Corpus frequency = total occurrences (Table II ranking).
             let occurrences: u64 = list.postings().iter().map(|p| p.tf as u64).sum();
-            vocab.add_occurrences(term_id, occurrences);
+            out.add_occurrences(term_id, occurrences);
             postings_total += list.len() as u64;
-            let bytes = match config.postings_format {
-                PostingsFormat::Flat => list.encode(),
-                PostingsFormat::Block => BlockPostings::from_list(list).encode(),
-            };
-            entries.push((
-                (*gh, term_id),
-                PostingsLocation {
-                    partition: part_idx as u32,
-                    offset: file.len() as u64,
-                    len: bytes.len() as u32,
-                },
-            ));
-            file.extend_from_slice(&bytes);
         }
-        dfs.create_on(&HybridIndex::partition_file(part_idx as u32), file, part_idx % config.nodes)
-            .expect("fresh DFS");
-    }
-    // Directory order is (geohash, term-id); term ids are assigned in
-    // first-encounter order, so re-sort before building the directory.
-    entries.sort_by_key(|e| e.0);
-    let forward = ForwardIndex::from_sorted(entries);
+    });
 
     let report = IndexBuildReport {
         total_time: start.elapsed(),

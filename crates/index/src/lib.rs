@@ -16,6 +16,10 @@
 //! partition file is written in sorted key order so postings of nearby
 //! cells with the same keyword sit in contiguous blocks.
 //!
+//! [`merge::merge_indexes`] folds a delta index into a sealed one with
+//! the result [`build`] would give over the union of their posts — the
+//! streaming write path's compaction step.
+//!
 //! [`baseline::build_centralized`] builds the identical index single-threaded
 //! on a one-node DFS — the centralized comparison point for the Figure 5
 //! construction-scaling experiment.
@@ -26,6 +30,7 @@ pub mod build;
 pub mod forward;
 pub mod inverted;
 pub mod irtree;
+pub mod merge;
 pub mod persist;
 pub mod posting;
 
@@ -37,6 +42,7 @@ pub use build::{build_index, IndexBuildConfig, IndexBuildReport};
 pub use forward::{ForwardIndex, PostingsLocation};
 pub use inverted::{HybridIndex, IndexError, IndexKey, QueryFetch};
 pub use irtree::{IrSearchStats, IrTree};
+pub use merge::merge_indexes;
 pub use persist::{
     load_dir, load_dir_with_report, load_sharded_dir_with_report, save_dir, save_sharded_dir,
     save_sharded_dir_refs, shard_dir_name, LoadReport, PersistError, PERSIST_FORMAT_VERSION,

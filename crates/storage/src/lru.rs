@@ -209,6 +209,15 @@ impl<K: Eq + Hash, V: Clone> ShardedLruCache<K, V> {
         }
         self.shard(key).lock().map.remove(key).map(|(v, _)| v)
     }
+
+    /// Drops every entry, keeping the counters. The invalidation for a
+    /// key space that changed wholesale (e.g. term ids renumbered by an
+    /// index merge).
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            shard.lock().map.clear();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -48,7 +48,9 @@ pub trait WalFs: Send + Sync {
     fn sync(&self, name: &str) -> Result<(), WalError>;
     /// Truncates `name` to `len` bytes (recovery's torn-tail cut).
     fn truncate(&self, name: &str, len: u64) -> Result<(), WalError>;
-    /// Atomically replaces `to` with `from` (the manifest swap).
+    /// Atomically replaces `to` with `from` (the manifest swap). An
+    /// error does not mean nothing happened: the rename itself may have
+    /// landed before its directory fsync failed.
     fn rename(&self, from: &str, to: &str) -> Result<(), WalError>;
     /// Removes `name` (absent is fine — deletion is idempotent so a crash
     /// between compaction's removals just retries at the next open).
@@ -81,12 +83,13 @@ impl StdFs {
         self.root.join(name)
     }
 
-    /// Best-effort directory fsync so renames/creates survive power loss.
-    fn sync_dir(&self, name: &str) {
+    /// Fsyncs the directory holding `name`, so a create, rename, or
+    /// remove in it survives power loss. A failure is returned, never
+    /// dropped: after a failed fsync the directory's durable state is
+    /// unknown, and only the caller knows what that means.
+    fn sync_dir(&self, op: &'static str, name: &str) -> Result<(), WalError> {
         let dir = self.path(name).parent().map(PathBuf::from).unwrap_or_else(|| self.root.clone());
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(op, name, e))
     }
 }
 
@@ -121,8 +124,7 @@ impl WalFs for StdFs {
             std::fs::create_dir_all(parent).map_err(|e| io_err("create", name, e))?;
         }
         std::fs::File::create(self.path(name)).map_err(|e| io_err("create", name, e))?;
-        self.sync_dir(name);
-        Ok(())
+        self.sync_dir("create", name)
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
@@ -151,16 +153,12 @@ impl WalFs for StdFs {
 
     fn rename(&self, from: &str, to: &str) -> Result<(), WalError> {
         std::fs::rename(self.path(from), self.path(to)).map_err(|e| io_err("rename", from, e))?;
-        self.sync_dir(to);
-        Ok(())
+        self.sync_dir("rename", to)
     }
 
     fn remove(&self, name: &str) -> Result<(), WalError> {
         match std::fs::remove_file(self.path(name)) {
-            Ok(()) => {
-                self.sync_dir(name);
-                Ok(())
-            }
+            Ok(()) => self.sync_dir("remove", name),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(io_err("remove", name, e)),
         }

@@ -49,6 +49,6 @@ pub use log::{
 pub use memtable::{MemtableIndex, DEFAULT_PACK_THRESHOLD};
 pub use record::{decode_record, encode_record, WalRecord};
 pub use store::{
-    parse_seal_name, seal_name, BoundsAudit, CompactionReport, CompactionStrategy, CompactorHandle,
-    IngestStore, OpenReport, StoreConfig, MANIFEST,
+    parse_seal_name, seal_name, BoundsAudit, CompactionReport, CompactorHandle, IngestStore,
+    OpenReport, StoreConfig, MANIFEST,
 };

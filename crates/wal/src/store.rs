@@ -11,10 +11,12 @@
 //!               metadata over ALL     (mutated in place)
 //!               acked posts)
 //!                      ▲
-//!                      └── compaction: touched geohash partitions
-//!                          rewritten, untouched ones carried forward
-//!                          by name; built OFF the latch, installed by
-//!                          a seq-fenced swap under the write latch
+//!                      └── compaction: the delta indexed alone and
+//!                          merged into the sealed index; touched
+//!                          geohash partitions rewritten, untouched ones
+//!                          carried forward by name; built OFF the
+//!                          latch, installed by a seq-fenced swap under
+//!                          the write latch
 //! ```
 //!
 //! The engine's inverted index covers only *sealed* posts; its metadata
@@ -48,20 +50,26 @@
 //! The protocol has three phases:
 //!
 //! 1. **Snapshot** (read lock): record the seq fence (the highest acked
-//!    seq), clone the acked set, and note which partitions the live
-//!    records touch. Ingest resumes the moment the lock drops.
+//!    seq), clone the delta (the acked records past the sealed prefix),
+//!    and take a shared handle to the sealed index. Ingest resumes the
+//!    moment the lock drops.
 //! 2. **Build** (no lock): write the touched partitions' replacement seal
 //!    files (fsynced), stage `MANIFEST.tmp` — fsynced but **not**
-//!    renamed — and then rebuild the engine over the snapshot, whose
-//!    posts move into the build's corpus. Queries and ingest run
-//!    concurrently throughout.
-//! 3. **Swap** (write lock): `MANIFEST.tmp → MANIFEST` is the atomic
-//!    commit point; then install the built engine, advance the sealed
-//!    prefix to the fence, and re-apply the records acked *during* the
-//!    build (their seqs are above the fence) onto a fresh memtable —
-//!    they stay live and are absorbed by the next round. The latch is
-//!    held only for the rename plus the suffix replay, never for the
-//!    O(corpus) build.
+//!    renamed — then index the delta alone (Algorithms 2–3) and merge it
+//!    into the sealed index ([`tklus_index::merge_indexes`]). Queries
+//!    and ingest run concurrently throughout.
+//! 3. **Swap** (write lock): install the merged index into the live
+//!    engine ([`TklusEngine::try_install_index`]), whose metadata and
+//!    bounds already cover every acked post; `MANIFEST.tmp → MANIFEST`
+//!    is the atomic commit point; then advance the sealed prefix to the
+//!    fence and index the records acked *during* the build (their seqs
+//!    are above the fence) in a fresh memtable — they stay live and are
+//!    absorbed by the next round. The latch is held for the install, the
+//!    rename, and the refill, never for the build or the merge.
+//!
+//! A round costs O(delta + index bytes), not a rebuild over every acked
+//! post; only [`IngestStore::open`] and the in-memory redo run a full
+//! engine build.
 //!
 //! # Crash safety
 //!
@@ -73,7 +81,10 @@
 //! compaction schedule leaves either the old manifest (the WAL still
 //! replays everything above the old fence) or the new one (replay skips
 //! the newly sealed prefix) — never a mix; partition files staged by a
-//! build that never committed are unreferenced and swept at reopen.
+//! build that never committed are unreferenced and swept at reopen. A
+//! rename that *returns an error* may still have landed, so it poisons
+//! the store and sweeps nothing; reopen reads whichever manifest is on
+//! disk.
 //!
 //! The WAL trim after a swap is **seq-fenced**: a segment is removed only
 //! when every record it holds is at or below the fence. Records acked
@@ -109,6 +120,7 @@ use std::time::Duration;
 use tklus_core::score::{tweet_keyword_score, user_score};
 use tklus_core::{top_k, EngineConfig, RankedUser, Ranking, TklusEngine};
 use tklus_geo::{circle_cover, encode, Geohash};
+use tklus_index::{build_index, merge_indexes, HybridIndex};
 use tklus_model::{Corpus, Post, TklusQuery, TweetId, UserId};
 use tklus_storage::crc32;
 
@@ -124,19 +136,6 @@ const PERSISTENT_FAILURE_THRESHOLD: u64 = 3;
 /// Ceiling for the background compactor's exponential backoff.
 const MAX_COMPACTOR_BACKOFF: Duration = Duration::from_secs(5);
 
-/// How [`IngestStore::compact`] schedules its work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompactionStrategy {
-    /// Seal under the write latch held for the whole build, rewriting
-    /// every partition each generation — the pre-incremental behaviour,
-    /// kept as the `compaction_stall` bench baseline.
-    FullLatch,
-    /// Snapshot under a read lock, build the replacement partitions and
-    /// engine off the latch, then take the write latch only for the
-    /// seq-fenced manifest swap. Rewrites only touched partitions.
-    Incremental,
-}
-
 /// Ingest store configuration.
 #[derive(Clone)]
 pub struct StoreConfig {
@@ -150,8 +149,6 @@ pub struct StoreConfig {
     /// Background compactor poll interval (also the base of its failure
     /// backoff).
     pub compact_interval: Duration,
-    /// Compaction scheduling (off-latch incremental by default).
-    pub strategy: CompactionStrategy,
     /// Memtable delta index: pack a term/cell list into §13 block
     /// postings once this many posts are live (`usize::MAX` disables).
     pub delta_index_threshold: usize,
@@ -164,7 +161,6 @@ impl Default for StoreConfig {
             wal: WalConfig::default(),
             compact_threshold: 1024,
             compact_interval: Duration::from_millis(20),
-            strategy: CompactionStrategy::Incremental,
             delta_index_threshold: DEFAULT_PACK_THRESHOLD,
         }
     }
@@ -585,80 +581,61 @@ impl IngestStore {
     /// memtable. Must only be called with the record already in `acked`:
     /// on error the caller rebuilds from that set.
     fn apply_live(&self, inner: &mut Inner, at: usize) -> Result<(), WalError> {
-        let rec = inner.acked[at].clone();
-        let post = &rec.post;
-        inner.engine.try_insert_metadata(post)?;
-
-        // Loosen-only bound refresh: the new post grows every ancestor's
-        // thread, so each ancestor's φ may rise; raise the hot bound of
-        // every term those posts carry, and the global bound for the
-        // target's new fan-out. Bounds only ever prune *sealed*
-        // candidates (memtable candidates are scored exhaustively), so
-        // over-loosening costs pruning power, never correctness.
+        let post = &inner.acked[at].post;
         if let Some(reply) = post.in_reply_to {
-            let count = {
-                let entry = inner.fanout.entry(reply.target).or_insert(0);
-                *entry += 1;
-                *entry
-            };
-            inner.engine.loosen_global_for_fanout(count);
-            let mut affected = vec![post.id];
-            affected.extend(inner.engine.try_ancestor_chain(post)?);
-            for tid in affected {
-                let phi = inner.engine.try_thread_phi(tid)?;
-                let Some(&idx) = inner.by_id.get(&tid) else { continue };
-                let text = inner.acked[idx].post.text.clone();
-                for term in inner.engine.text_terms(&text) {
-                    inner.engine.loosen_hot_bound(term, phi);
-                }
-            }
+            *inner.fanout.entry(reply.target).or_insert(0) += 1;
         }
-
-        let cell = Self::post_cell(&inner.engine, post)?;
-        let terms = inner.engine.term_counts(&post.text);
-        inner.memtable.insert(post.id, post.user, cell, &terms);
-        Ok(())
+        Self::apply_to_engine(&mut inner.engine, post, &inner.acked, &inner.by_id, &inner.fanout)?;
+        Self::index_live(&inner.engine, &mut inner.memtable, post)
     }
 
-    /// Re-applies `acked[from..]` — metadata, loosen-only bounds (with
-    /// *final* fan-out counts, which can only over-loosen), and memtable
-    /// postings — onto an engine that seals exactly `acked[..from]`.
-    /// Shared by the post-swap suffix replay and the poison-recovery
-    /// rebuild, so the two paths cannot drift.
-    fn replay_suffix(
+    /// Inserts `post`'s metadata into `engine` and refreshes its bounds.
+    ///
+    /// Loosen-only: the new post grows every ancestor's thread, so each
+    /// ancestor's φ may rise; raise the hot bound of every term those
+    /// posts carry, and the global bound for the target's fan-out. Bounds
+    /// only ever prune *sealed* candidates (memtable candidates are scored
+    /// exhaustively), so over-loosening costs pruning power, never
+    /// correctness.
+    fn apply_to_engine(
         engine: &mut TklusEngine,
-        memtable: &mut MemtableIndex,
+        post: &Post,
         acked: &[WalRecord],
         by_id: &HashMap<TweetId, usize>,
         fanout: &HashMap<TweetId, usize>,
-        from: usize,
     ) -> Result<(), WalError> {
-        for at in from..acked.len() {
-            let post = acked[at].post.clone();
-            engine.try_insert_metadata(&post)?;
-            if let Some(reply) = post.in_reply_to {
-                engine.loosen_global_for_fanout(fanout[&reply.target]);
-                let mut affected = vec![post.id];
-                affected.extend(engine.try_ancestor_chain(&post)?);
-                for tid in affected {
-                    let phi = engine.try_thread_phi(tid)?;
-                    let Some(&idx) = by_id.get(&tid) else { continue };
-                    let text = acked[idx].post.text.clone();
-                    for term in engine.text_terms(&text) {
-                        engine.loosen_hot_bound(term, phi);
-                    }
+        engine.try_insert_metadata(post)?;
+        if let Some(reply) = post.in_reply_to {
+            engine.loosen_global_for_fanout(fanout[&reply.target]);
+            let mut affected = vec![post.id];
+            affected.extend(engine.try_ancestor_chain(post)?);
+            for tid in affected {
+                let phi = engine.try_thread_phi(tid)?;
+                let Some(&idx) = by_id.get(&tid) else { continue };
+                for term in engine.text_terms(&acked[idx].post.text) {
+                    engine.loosen_hot_bound(term, phi);
                 }
             }
-            let cell = Self::post_cell(engine, &post)?;
-            let terms = engine.term_counts(&post.text);
-            memtable.insert(post.id, post.user, cell, &terms);
         }
+        Ok(())
+    }
+
+    /// Adds `post`'s postings to the live delta index.
+    fn index_live(
+        engine: &TklusEngine,
+        memtable: &mut MemtableIndex,
+        post: &Post,
+    ) -> Result<(), WalError> {
+        let cell = Self::post_cell(engine, post)?;
+        memtable.insert(post.id, post.user, cell, &engine.term_counts(&post.text));
         Ok(())
     }
 
     /// The in-memory WAL redo: throw the live state away and rebuild it
-    /// from the acked set. Restores the invariant "live state ≡ fold of
-    /// acked records" after a half-applied record.
+    /// from the acked set — a full build over the sealed prefix, then
+    /// every live record re-applied (with *final* fan-out counts, which
+    /// can only over-loosen). Restores the invariant "live state ≡ fold
+    /// of acked records" after a half-applied record.
     fn rebuild_live(&self, inner: &mut Inner) -> Result<(), WalError> {
         let sealed = &inner.acked[..inner.sealed_len];
         let mut engine = Self::build_engine(posts_of(sealed), &self.config.engine)?;
@@ -669,14 +646,10 @@ impl IngestStore {
                 *fanout.entry(r.target).or_insert(0) += 1;
             }
         }
-        Self::replay_suffix(
-            &mut engine,
-            &mut memtable,
-            &inner.acked,
-            &inner.by_id,
-            &fanout,
-            inner.sealed_len,
-        )?;
+        for rec in &inner.acked[inner.sealed_len..] {
+            Self::apply_to_engine(&mut engine, &rec.post, &inner.acked, &inner.by_id, &fanout)?;
+            Self::index_live(&engine, &mut memtable, &rec.post)?;
+        }
         inner.engine = engine;
         inner.memtable = memtable;
         inner.fanout = fanout;
@@ -856,17 +829,13 @@ impl IngestStore {
         Ok(rows)
     }
 
-    /// Runs one compaction round under the configured
-    /// [`CompactionStrategy`], recording the outcome for
+    /// Runs one compaction round, recording the outcome for
     /// [`Self::compaction_stats`]. Rounds are serialized by an internal
     /// gate, so background and synchronous callers never interleave.
     /// Returns `true` when something was sealed.
     pub fn compact(&self) -> Result<bool, WalError> {
         let _gate = self.compact_gate.lock();
-        let result = match self.config.strategy {
-            CompactionStrategy::Incremental => self.compact_incremental(),
-            CompactionStrategy::FullLatch => self.compact_full_latch(),
-        };
+        let result = self.compact_incremental();
         match &result {
             Ok(sealed) => {
                 if *sealed {
@@ -898,14 +867,14 @@ impl IngestStore {
 
     /// The off-latch incremental round (module docs, "Incremental,
     /// off-latch compaction"). The write latch is held only for the
-    /// manifest rename and the replay of records acked during the build.
+    /// index install, the manifest rename, and the memtable refill.
     fn compact_incremental(&self) -> Result<bool, WalError> {
-        // Phase 1 — snapshot under the read lock: the fence, the acked
-        // set, and which partitions the live records touch. Untouched
-        // partitions' files are carried forward by name: their record
-        // sets are exactly the old sealed prefix's (every live record's
-        // partition is in `touched` by construction).
-        let (snapshot, snapshot_groups, touched, carried, generation, fence) = {
+        // Phase 1 — snapshot under the read lock: the fence, the delta
+        // records, the sealed index, and which partitions the delta
+        // touches. Untouched partitions' files are carried forward by
+        // name: their record sets are exactly the old sealed prefix's
+        // (every live record's partition is in `touched` by construction).
+        let (delta, delta_groups, sealed_index, sealed_files, sealed_len, generation, fence) = {
             let inner = self.inner.read();
             if inner.poisoned {
                 return Err(WalError::Poisoned);
@@ -913,91 +882,80 @@ impl IngestStore {
             if inner.memtable.is_empty() {
                 return Ok(false);
             }
-            let touched: BTreeSet<char> =
-                inner.groups[inner.sealed_len..].iter().copied().collect();
-            let carried: BTreeMap<char, (String, usize)> = inner
-                .seal_files
-                .iter()
-                .filter(|(g, _)| !touched.contains(g))
-                .map(|(g, f)| (*g, f.clone()))
-                .collect();
             (
-                inner.acked.clone(),
-                inner.groups.clone(),
-                touched,
-                carried,
+                inner.acked[inner.sealed_len..].to_vec(),
+                inner.groups[inner.sealed_len..].to_vec(),
+                inner.engine.index_arc(),
+                inner.seal_files.clone(),
+                inner.acked.len(),
                 inner.generation + 1,
                 inner.max_seq,
             )
         };
 
         // Phase 2 — build outside any lock: the touched partitions' seal
-        // files, the staged manifest, and the replacement engine. The
-        // files are staged first so the engine's corpus can take the
-        // snapshot's posts by value instead of copying them again.
-        // Nothing here is visible to recovery until the rename below; on
-        // error the staged files are swept (and reopen sweeps whatever a
-        // crash leaves).
-        let mut files = carried;
+        // files, the staged manifest, and the next index — Algorithms 2–3
+        // over the delta alone, merged into the sealed index. Nothing
+        // here is visible to recovery until the rename below; on error
+        // the staged files are swept (and reopen sweeps whatever a crash
+        // leaves).
         let mut created = Vec::new();
-        if let Err(e) = self.stage_partitions(
-            generation,
-            fence,
-            &snapshot,
-            &snapshot_groups,
-            &touched,
-            &mut files,
-            &mut created,
-        ) {
-            self.remove_aborted(&created);
-            return Err(e);
-        }
-        let sealed_len = snapshot.len();
-        let posts = snapshot.into_iter().map(|r| r.post).collect();
-        let engine = match Self::build_engine(posts, &self.config.engine) {
-            Ok(engine) => engine,
+        let staged = self
+            .stage_partitions(generation, fence, &delta, &delta_groups, sealed_files, &mut created)
+            .and_then(|files| {
+                let (delta_index, _) = build_index(&posts_of(&delta), &self.config.engine.index);
+                let merged = merge_indexes(&sealed_index, &delta_index, &self.config.engine.index)
+                    .map_err(tklus_core::EngineError::from)?;
+                Ok((files, merged))
+            });
+        drop(sealed_index);
+        let (files, merged) = match staged {
+            Ok(staged) => staged,
             Err(e) => {
                 self.remove_aborted(&created);
                 return Err(e);
             }
         };
 
-        // Phase 3 — seq-fenced validate-and-swap under the write latch.
+        // Phase 3 — seq-fenced install and swap under the write latch.
+        // The live engine's metadata database and loosen-only bounds
+        // already cover every acked post; only its index moves forward.
         let mut inner = self.inner.write();
-        if inner.poisoned {
-            drop(inner);
-            self.remove_aborted(&created);
-            return Err(WalError::Poisoned);
-        }
-        debug_assert_eq!(inner.generation + 1, generation, "compaction rounds are serialized");
-        if let Err(e) = self.fs.rename(MANIFEST_TMP, MANIFEST) {
+        let installed = if inner.poisoned {
+            Err(WalError::Poisoned)
+        } else {
+            let inner = &mut *inner;
+            let unsealed = inner.acked[sealed_len..].iter().map(|r| &r.post);
+            inner.engine.try_install_index(Arc::new(merged), unsealed).map_err(WalError::from)
+        };
+        if let Err(e) = installed {
             drop(inner);
             self.remove_aborted(&created);
             return Err(e);
         }
-        // ---- The rename is the commit point. The in-memory install
-        // below mirrors exactly what the manifest now promises: sealed =
-        // the snapshot, live = the records acked during the build (their
+        debug_assert_eq!(inner.generation + 1, generation, "compaction rounds are serialized");
+        if let Err(e) = self.fs.rename(MANIFEST_TMP, MANIFEST) {
+            // The outcome is unknown: the new manifest may already be
+            // durable and name the staged files, so they must stay, and
+            // the in-memory state can match neither manifest. Fail fast
+            // until a reopen reads whichever one is on disk.
+            inner.poisoned = true;
+            return Err(e);
+        }
+        // ---- The rename is the commit point. The bookkeeping below
+        // mirrors exactly what the manifest now promises: sealed = the
+        // snapshot, live = the records acked during the build (their
         // seqs are above the fence, so recovery replays them from the
         // WAL, which the fenced trim keeps).
         inner.sealed_len = sealed_len;
         inner.sealed_seq = fence;
         inner.generation = generation;
         inner.seal_files = files;
-        inner.engine = engine;
         let mut memtable = self.fresh_memtable();
-        let replayed = {
-            let inner = &mut *inner;
-            Self::replay_suffix(
-                &mut inner.engine,
-                &mut memtable,
-                &inner.acked,
-                &inner.by_id,
-                &inner.fanout,
-                sealed_len,
-            )
-        };
-        match replayed {
+        let refilled = inner.acked[sealed_len..]
+            .iter()
+            .try_for_each(|rec| Self::index_live(&inner.engine, &mut memtable, &rec.post));
+        match refilled {
             Ok(()) => inner.memtable = memtable,
             Err(_) => {
                 // Same containment as `admit`: redo from the acked set,
@@ -1013,80 +971,34 @@ impl IngestStore {
         Ok(true)
     }
 
-    /// The pre-incremental behaviour: the write latch held for the whole
-    /// build, every partition rewritten. Kept as the `compaction_stall`
-    /// bench baseline (and a maximally-simple fallback).
-    fn compact_full_latch(&self) -> Result<bool, WalError> {
-        let mut inner = self.inner.write();
-        if inner.poisoned {
-            return Err(WalError::Poisoned);
-        }
-        if inner.memtable.is_empty() {
-            return Ok(false);
-        }
-        let generation = inner.generation + 1;
-        let fence = inner.max_seq;
-        let engine = Self::build_engine(posts_of(&inner.acked), &self.config.engine)?;
-        let touched: BTreeSet<char> = inner.groups.iter().copied().collect();
-        let mut files = BTreeMap::new();
-        let mut created = Vec::new();
-        if let Err(e) = self.stage_partitions(
-            generation,
-            fence,
-            &inner.acked,
-            &inner.groups,
-            &touched,
-            &mut files,
-            &mut created,
-        ) {
-            self.remove_aborted(&created);
-            return Err(e);
-        }
-        if let Err(e) = self.fs.rename(MANIFEST_TMP, MANIFEST) {
-            self.remove_aborted(&created);
-            return Err(e);
-        }
-        // ---- The rename is the commit point (same argument as the
-        // incremental path, degenerate case: nothing was acked during
-        // the build because the latch was held throughout).
-        inner.sealed_len = inner.acked.len();
-        inner.sealed_seq = fence;
-        inner.generation = generation;
-        inner.seal_files = files;
-        inner.engine = engine;
-        inner.memtable.clear();
-        inner.wal.rotate()?;
-        self.trim_absorbed(&mut inner)?;
-        Ok(true)
-    }
-
-    /// Writes the replacement seal file for every touched partition —
-    /// all snapshot records of that partition, framed and fsynced — and
-    /// stages `MANIFEST.tmp` naming `files` (carried ∪ rewritten), also
-    /// fsynced but **not** renamed: the caller owns the commit point.
-    /// Every created name is pushed to `created` before any write to it,
-    /// so the caller can sweep a partial stage.
-    #[allow(clippy::too_many_arguments)]
+    /// Writes the replacement seal file for every partition `delta`
+    /// touches — the partition's previous file (from `files`, the
+    /// manifest's current set) with the delta's frames appended, which is
+    /// every sealed record of that partition in seq order — fsynced, and
+    /// stages `MANIFEST.tmp` naming the result, also fsynced but **not**
+    /// renamed: the caller owns the commit point. Returns the new file
+    /// set. Every created name is pushed to `created` before any write to
+    /// it, so the caller can sweep a partial stage.
     fn stage_partitions(
         &self,
         generation: u64,
         fence: u64,
-        snapshot: &[WalRecord],
-        snapshot_groups: &[char],
-        touched: &BTreeSet<char>,
-        files: &mut BTreeMap<char, (String, usize)>,
+        delta: &[WalRecord],
+        delta_groups: &[char],
+        mut files: BTreeMap<char, (String, usize)>,
         created: &mut Vec<String>,
-    ) -> Result<(), WalError> {
-        for &group in touched {
-            let name = seal_name(generation, group);
-            let mut bytes = Vec::new();
-            let mut count = 0usize;
-            for (rec, &g) in snapshot.iter().zip(snapshot_groups) {
-                if g == group {
-                    encode_frame(&encode_record(rec), &mut bytes);
-                    count += 1;
-                }
+    ) -> Result<BTreeMap<char, (String, usize)>, WalError> {
+        let touched: BTreeSet<char> = delta_groups.iter().copied().collect();
+        for group in touched {
+            let (mut bytes, mut count) = match files.get(&group) {
+                Some((name, count)) => (self.fs.read(name)?, *count),
+                None => (Vec::new(), 0),
+            };
+            for (rec, _) in delta.iter().zip(delta_groups).filter(|(_, &g)| g == group) {
+                encode_frame(&encode_record(rec), &mut bytes);
+                count += 1;
             }
+            let name = seal_name(generation, group);
             created.push(name.clone());
             self.fs.create(&name)?;
             self.fs.append(&name, &bytes)?;
@@ -1099,7 +1011,7 @@ impl IngestStore {
         self.fs.create(MANIFEST_TMP)?;
         self.fs.append(MANIFEST_TMP, &manifest.encode())?;
         self.fs.sync(MANIFEST_TMP)?;
-        Ok(())
+        Ok(files)
     }
 
     /// Best-effort sweep of a build that will not commit. The names are
@@ -1175,6 +1087,17 @@ impl IngestStore {
     /// Highest sequence number compaction has absorbed.
     pub fn sealed_seq(&self) -> u64 {
         self.inner.read().sealed_seq
+    }
+
+    /// The sealed index: what compaction has merged so far, over exactly
+    /// the sealed prefix of the acked posts.
+    pub fn sealed_index(&self) -> Arc<HybridIndex> {
+        self.inner.read().engine.index_arc()
+    }
+
+    /// The live engine's hot keywords, as sorted term strings.
+    pub fn hot_terms(&self) -> Vec<String> {
+        self.inner.read().engine.hot_terms()
     }
 
     /// True when the live state was lost and the store is failing fast.
@@ -1385,28 +1308,6 @@ mod tests {
             store2.try_query(&query(), Ranking::Max(BoundsMode::HotKeywords)).unwrap(),
             after
         );
-    }
-
-    #[test]
-    fn full_latch_strategy_still_seals_and_answers_identically() {
-        let (fs, _) = SimFs::new(18);
-        let walfs: Arc<dyn WalFs> = Arc::clone(&fs) as Arc<dyn WalFs>;
-        let config =
-            StoreConfig { strategy: CompactionStrategy::FullLatch, ..StoreConfig::default() };
-        let (store, _) = IngestStore::open(walfs, config.clone()).unwrap();
-        for i in 1..=6 {
-            store.ingest(post(i, i, 43.70 + i as f64 * 1e-3, -79.42, "hotel by the lake")).unwrap();
-        }
-        let before = store.try_query(&query(), Ranking::Sum).unwrap();
-        assert!(store.compact().unwrap());
-        assert_eq!(store.live_posts(), 0);
-        assert_eq!(store.generation(), 1);
-        assert_eq!(store.try_query(&query(), Ranking::Sum).unwrap(), before);
-        drop(store);
-        let walfs: Arc<dyn WalFs> = Arc::clone(&fs) as Arc<dyn WalFs>;
-        let (store2, report) = IngestStore::open(walfs, config).unwrap();
-        assert_eq!(report.sealed_posts, 6);
-        assert_eq!(store2.try_query(&query(), Ranking::Sum).unwrap(), before);
     }
 
     #[test]

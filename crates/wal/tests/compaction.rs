@@ -17,8 +17,11 @@
 //!    a from-scratch engine over the recovered posts.
 //! 3. **Proportional I/O** — a compaction whose live delta touches one
 //!    geohash partition must not pay filesystem ops for the other
-//!    partitions it carries forward by name (the incremental strategy's
-//!    whole point, measured in SimFs op counts against full-latch).
+//!    partitions it carries forward by name: round-2 SimFs op counts are
+//!    equal whether the sealed base spans few partitions or many.
+//! 4. **Unknown commit outcome** — a manifest rename that lands but
+//!    reports an error (a failed directory fsync) poisons the store,
+//!    keeps every staged file, and a reopen recovers every acked post.
 //!
 //! The gate is a [`WalFs`] wrapper that parks the *first* append to a
 //! chosen generation's seal files until the test releases it — a
@@ -26,6 +29,7 @@
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -33,8 +37,8 @@ use tklus_core::{BoundsMode, EngineConfig, Ranking, TklusEngine};
 use tklus_geo::Point;
 use tklus_model::{Corpus, Post, Semantics, TklusQuery, TweetId, UserId};
 use tklus_wal::{
-    parse_seal_name, CompactionStrategy, FsyncPolicy, IngestStore, SimFs, StoreConfig, WalConfig,
-    WalError, WalFs,
+    parse_seal_name, seal_name, FsyncPolicy, IngestStore, SimFs, StoreConfig, WalConfig, WalError,
+    WalFs, MANIFEST,
 };
 
 fn chaos_seeds() -> Vec<u64> {
@@ -363,19 +367,20 @@ fn spread(id: u64) -> Post {
     post(id, id % 5 + 20, lat + id as f64 * 1e-3, lon, "hotel far away")
 }
 
-/// Two compaction rounds under `strategy`, counting only the compacts'
-/// SimFs write-path ops: round 1 seals posts spread over many partitions
-/// plus Toronto; round 2's live delta touches Toronto alone.
-fn two_round_compact_ops(strategy: CompactionStrategy) -> (u64, u64, u64) {
+/// Two compaction rounds, counting only the compacts' SimFs write-path
+/// ops: round 1 seals `spread_posts` posts spread over many partitions
+/// plus Toronto; round 2's live delta touches Toronto alone. Returns the
+/// two op counts and the number of partitions round 1 sealed.
+fn two_round_compact_ops(spread_posts: u64) -> (u64, u64, u64) {
     let (sim, handle) = SimFs::new(77);
     let walfs: Arc<dyn WalFs> = Arc::clone(&sim) as Arc<dyn WalFs>;
-    let cfg = StoreConfig { strategy, engine: engine_config(), ..StoreConfig::default() };
+    let cfg = StoreConfig { engine: engine_config(), ..StoreConfig::default() };
     let (store, _) = IngestStore::open(walfs, cfg).unwrap();
 
-    for id in 1..=21 {
+    for id in 1..=spread_posts {
         store.ingest(spread(id)).unwrap();
     }
-    for id in 22..=24 {
+    for id in 100..=102 {
         store.ingest(toronto(id)).unwrap();
     }
     handle.arm_crash_at(u64::MAX); // count (never fire): round-1 ops
@@ -387,7 +392,7 @@ fn two_round_compact_ops(strategy: CompactionStrategy) -> (u64, u64, u64) {
         WalFs::list(sim.as_ref()).unwrap().iter().filter(|n| parse_seal_name(n).is_some()).count()
             as u64;
 
-    for id in 25..=27 {
+    for id in 103..=105 {
         store.ingest(toronto(id)).unwrap();
     }
     handle.arm_crash_at(u64::MAX); // count: round-2 ops
@@ -398,25 +403,112 @@ fn two_round_compact_ops(strategy: CompactionStrategy) -> (u64, u64, u64) {
 
 #[test]
 fn compaction_io_is_proportional_to_touched_partitions() {
-    let (incr1, incr2, parts) = two_round_compact_ops(CompactionStrategy::Incremental);
-    let (full1, full2, full_parts) = two_round_compact_ops(CompactionStrategy::FullLatch);
-    assert!(parts >= 5, "workload spread over too few partitions ({parts})");
-    assert_eq!(parts, full_parts, "strategies must agree on the partition layout");
+    let (narrow1, narrow2, narrow_parts) = two_round_compact_ops(1);
+    let (wide1, wide2, wide_parts) = two_round_compact_ops(21);
+    assert_eq!(narrow_parts, 2, "narrow base: London plus Toronto");
+    assert!(wide_parts >= 5, "wide base spread over too few partitions ({wide_parts})");
 
-    // Round 1 seals every partition under both strategies (everything is
-    // live), so both pay at least create+append+sync per partition file.
-    assert!(incr1 >= 3 * parts, "incremental round 1 wrote too few ops ({incr1})");
-    assert!(full1 >= 3 * parts, "full-latch round 1 wrote too few ops ({full1})");
+    // Round 1 seals every partition (everything is live), so it pays at
+    // least create+append+sync per partition file.
+    assert!(narrow1 >= 3 * narrow_parts, "narrow round 1 wrote too few ops ({narrow1})");
+    assert!(wide1 >= 3 * wide_parts, "wide round 1 wrote too few ops ({wide1})");
+    assert!(wide1 > narrow1, "round 1 must pay for every partition it seals");
 
-    // Round 2's delta touches one partition. Full-latch rewrites all
-    // `parts` files and removes the stale ones; incremental must skip
-    // the `parts - 1` untouched partitions entirely — at least 3 write
-    // ops (create/append/sync) and 1 remove saved per carried file.
-    assert!(incr2 < full2, "incremental round-2 ops {incr2} not below full-latch {full2}");
-    assert!(
-        full2 - incr2 >= 4 * (parts - 1),
-        "savings not proportional to carried partitions: full {full2} - incremental {incr2} \
-         < 4 × {} untouched partitions",
-        parts - 1
+    // Round 2's delta touches Toronto alone. Every other partition is
+    // carried forward by name, so its cost must not depend on how many
+    // untouched partitions the sealed base holds.
+    assert_eq!(
+        narrow2,
+        wide2,
+        "round-2 ops grew with {} untouched partitions",
+        wide_parts - narrow_parts
     );
+}
+
+// ---------------------------------------------------------------------
+// 4. A commit-point rename whose outcome is unknown
+// ---------------------------------------------------------------------
+
+/// [`WalFs`] wrapper whose next rename onto `MANIFEST`, once armed,
+/// lands and then reports an error — the shape of a rename whose
+/// directory fsync fails.
+struct LandThenFailFs {
+    inner: Arc<SimFs>,
+    armed: AtomicBool,
+}
+
+impl WalFs for LandThenFailFs {
+    fn list(&self) -> Result<Vec<String>, WalError> {
+        self.inner.list()
+    }
+    fn read(&self, name: &str) -> Result<Vec<u8>, WalError> {
+        self.inner.read(name)
+    }
+    fn create(&self, name: &str) -> Result<(), WalError> {
+        self.inner.create(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+        self.inner.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> Result<(), WalError> {
+        self.inner.sync(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> Result<(), WalError> {
+        self.inner.truncate(name, len)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<(), WalError> {
+        self.inner.rename(from, to)?;
+        if to == MANIFEST && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(WalError::Io {
+                op: "rename",
+                path: to.to_string(),
+                source: std::io::Error::other("directory fsync failed"),
+            });
+        }
+        Ok(())
+    }
+    fn remove(&self, name: &str) -> Result<(), WalError> {
+        self.inner.remove(name)
+    }
+}
+
+#[test]
+fn manifest_rename_error_poisons_and_keeps_staged_files() {
+    let (sim, _) = SimFs::new(53);
+    let fs = Arc::new(LandThenFailFs { inner: Arc::clone(&sim), armed: AtomicBool::new(false) });
+    let walfs: Arc<dyn WalFs> = Arc::clone(&fs) as Arc<dyn WalFs>;
+    let (store, _) = IngestStore::open(walfs, store_config()).unwrap();
+
+    let mut acked: Vec<Post> = (1..=3).map(sydney).chain((4..=8).map(toronto)).collect();
+    for p in &acked {
+        store.ingest(p.clone()).unwrap();
+    }
+    assert!(store.compact().unwrap());
+    let round2: Vec<Post> = (9..=12).map(toronto).collect();
+    for p in &round2 {
+        store.ingest(p.clone()).unwrap();
+    }
+    acked.extend(round2);
+
+    fs.armed.store(true, Ordering::SeqCst);
+    assert!(store.compact().is_err(), "a failed commit-point rename must fail the round");
+    assert!(store.is_poisoned());
+    assert!(matches!(store.ingest(toronto(13)), Err(WalError::Poisoned)));
+    assert!(matches!(store.compact(), Err(WalError::Poisoned)));
+
+    // The new manifest landed and names the staged generation-2 file, so
+    // nothing staged may have been swept.
+    let names = WalFs::list(sim.as_ref()).unwrap();
+    assert!(names.iter().any(|n| *n == seal_name(2, 'd')), "{names:?}");
+    assert!(names.iter().any(|n| *n == seal_name(1, 'r')), "{names:?}");
+    drop(store);
+
+    let walfs: Arc<dyn WalFs> = Arc::clone(&sim) as Arc<dyn WalFs>;
+    let (reopened, report) = IngestStore::open(walfs, store_config()).unwrap();
+    assert_eq!(report.generation, 2, "the landed manifest is the one recovery reads");
+    for p in &acked {
+        assert!(reopened.contains_post(p.id), "acked tweet {} lost", p.id.0);
+    }
+    assert_eq!(reopened.acked_posts(), acked.len());
+    assert_answers_match(&reopened, &acked, "after reopen");
 }

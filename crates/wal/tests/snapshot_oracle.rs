@@ -10,6 +10,14 @@
 //! modes, including replies that land in sealed threads and raise φ after
 //! sealing.
 //!
+//! A multi-round family seals the corpus over seven compactions — each a
+//! delta build merged into the sealed index — with replies into threads
+//! sealed rounds earlier, terms first seen late that climb into the hot
+//! set, and ids ingested out of order. After every round the answers
+//! match a from-scratch engine bitwise, the sealed index equals a full
+//! build over the sealed posts, the hot set equals a full build's, and
+//! the bounds audit is clean; a reopen then matches again.
+//!
 //! A second family asserts the loosen-only bound-refresh soundness
 //! invariant directly: after any ingest sequence, every hot-keyword bound
 //! dominates φ(p) of every acked post carrying that keyword, and the
@@ -20,7 +28,8 @@
 use std::sync::Arc;
 use tklus_core::{BoundsMode, EngineConfig, Ranking, TklusEngine};
 use tklus_gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
-use tklus_model::{Corpus, Post, Semantics, TklusQuery};
+use tklus_index::{build_index, HybridIndex};
+use tklus_model::{Corpus, Post, Semantics, TklusQuery, TweetId, UserId};
 use tklus_wal::{IngestStore, SimFs, StoreConfig, WalFs};
 
 fn engine_config() -> EngineConfig {
@@ -170,4 +179,194 @@ fn hot_bounds_dominate_every_acked_thread_popularity() {
         );
         assert!(audit.checked > 0, "soundness sweep is vacuous: no hot term matched any post");
     }
+}
+
+// ---------------------------------------------------------------------
+// Multi-round merges
+// ---------------------------------------------------------------------
+
+/// Terms no generated post carries, introduced in later rounds.
+const LATE_TERMS: [&str; 2] = ["zeppelin", "quokka"];
+
+/// The generated corpus reshaped into compaction rounds that stress the
+/// merge: originals that no reply targets are held back a round (ids
+/// ingested out of order, interleaving with the next round's ids); from
+/// round 3 on, posts carrying [`LATE_TERMS`] arrive with high term
+/// frequency (new terms that climb into the hot set); and every round
+/// after the first also replies into threads sealed in earlier rounds.
+fn merge_rounds(seed: u64, rounds: usize) -> Vec<Vec<Post>> {
+    let corpus = corpus(seed);
+    let posts = corpus.posts();
+    let targets: std::collections::HashSet<TweetId> =
+        posts.iter().filter_map(|p| p.in_reply_to.map(|r| r.target)).collect();
+    let mut next_id = posts.iter().map(|p| p.id.0).max().unwrap() + 1;
+    let chunk = posts.len().div_ceil(rounds);
+    let mut out: Vec<Vec<Post>> = vec![Vec::new(); rounds];
+    let mut held = Vec::new();
+    for (r, batch) in posts.chunks(chunk).enumerate() {
+        out[r].append(&mut held);
+        for p in batch {
+            let late = r + 1 < rounds && p.in_reply_to.is_none() && !targets.contains(&p.id);
+            if late && p.id.0 % 5 == 0 {
+                held.push(p.clone());
+            } else {
+                out[r].push(p.clone());
+            }
+        }
+        if r >= 2 {
+            let term = LATE_TERMS[r % LATE_TERMS.len()];
+            for k in 0..25u64 {
+                let anchor = &batch[(k as usize * 7) % batch.len()];
+                let text = format!("{term} {term} {term} {term} near {}", anchor.text);
+                let id = TweetId(next_id);
+                next_id += 1;
+                out[r].push(Post::original(id, UserId(k % 30), anchor.location, text));
+                if k % 4 == 0 {
+                    let reply = Post::reply(
+                        TweetId(next_id),
+                        UserId(k % 30 + 1),
+                        anchor.location,
+                        format!("{term} indeed"),
+                        id,
+                        UserId(k % 30),
+                    );
+                    next_id += 1;
+                    out[r].push(reply);
+                }
+            }
+        }
+        if r >= 1 {
+            let sealed: Vec<Post> = out[..r].iter().flatten().cloned().collect();
+            for target in sealed.iter().step_by(17).take(6) {
+                let reply = Post::reply(
+                    TweetId(next_id),
+                    UserId(next_id % 40),
+                    target.location,
+                    target.text.clone(),
+                    target.id,
+                    target.user,
+                );
+                next_id += 1;
+                out[r].push(reply);
+            }
+        }
+    }
+    out
+}
+
+/// The generated queries plus queries over the late terms, every one of
+/// them under each of Sum/Max × OR/AND × both bound modes.
+fn round_queries(corpus: &Corpus) -> Vec<(TklusQuery, Ranking)> {
+    let mut base: Vec<TklusQuery> =
+        queries(corpus).into_iter().map(|(q, _)| q).step_by(2).collect();
+    for (i, term) in LATE_TERMS.iter().enumerate() {
+        let at = corpus.posts()[i * 31 % corpus.len()].location;
+        let keywords = vec![term.to_string(), "hotel".to_string()];
+        base.push(TklusQuery::new(at, 50.0, keywords, 5, Semantics::Or).unwrap());
+        base.push(TklusQuery::new(at, 50.0, vec![term.to_string()], 5, Semantics::And).unwrap());
+    }
+    let rankings =
+        [Ranking::Sum, Ranking::Max(BoundsMode::HotKeywords), Ranking::Max(BoundsMode::Global)];
+    let mut out = Vec::new();
+    for q in base {
+        for semantics in [Semantics::Or, Semantics::And] {
+            let q = TklusQuery { semantics, ..q.clone() };
+            out.extend(rankings.iter().map(|&r| (q.clone(), r)));
+        }
+    }
+    out
+}
+
+fn assert_index_equals_build(got: &HybridIndex, posts: &[Post], ctx: &str) {
+    let (want, _) = build_index(posts, &engine_config().index);
+    let fg: Vec<_> = got.forward().iter().copied().collect();
+    let fw: Vec<_> = want.forward().iter().copied().collect();
+    assert!(fg == fw, "{ctx}: sealed directory differs from a full build");
+    let vg: Vec<_> = got.vocab().iter().map(|(i, t, f)| (i, t.to_string(), f)).collect();
+    let vw: Vec<_> = want.vocab().iter().map(|(i, t, f)| (i, t.to_string(), f)).collect();
+    assert!(vg == vw, "{ctx}: sealed vocabulary differs from a full build");
+    assert_eq!(got.dfs().list(), want.dfs().list(), "{ctx}");
+    for file in want.dfs().list() {
+        assert!(
+            got.dfs().read_all(&file).unwrap() == want.dfs().read_all(&file).unwrap(),
+            "{ctx}: partition {file} differs from a full build"
+        );
+    }
+}
+
+/// Answers of `store` equal a from-scratch engine over `posts`, bitwise;
+/// returns the from-scratch engine's hot terms.
+fn assert_store_matches_scratch(store: &IngestStore, posts: &[Post], ctx: &str) -> Vec<String> {
+    let full = Corpus::new(posts.to_vec()).unwrap();
+    let (reference, _) = TklusEngine::try_build(&full, &engine_config()).unwrap();
+    let mut nonempty = 0;
+    for (q, ranking) in round_queries(&full) {
+        let got = store.try_query(&q, ranking).unwrap();
+        let want = reference.try_query(&q, ranking).unwrap().users;
+        assert_eq!(got, want, "{ctx}: query {q:?} ranking {ranking:?} diverged from oracle");
+        nonempty += usize::from(!want.is_empty());
+    }
+    assert!(nonempty > 0, "{ctx}: every query came back empty");
+    reference.hot_terms()
+}
+
+#[test]
+fn multi_round_merges_match_from_scratch_engine_bitwise() {
+    let rounds = merge_rounds(31, 7);
+    let (fs, _) = SimFs::new(0x3E46E);
+    let walfs: Arc<dyn WalFs> = Arc::clone(&fs) as Arc<dyn WalFs>;
+    let config = StoreConfig { engine: engine_config(), ..StoreConfig::default() };
+    let (store, _) = IngestStore::open(walfs, config.clone()).unwrap();
+
+    let mut acked: Vec<Post> = Vec::new();
+    let mut hot_sets: Vec<Vec<String>> = Vec::new();
+    for (r, batch) in rounds.iter().enumerate() {
+        for p in batch {
+            store.ingest(p.clone()).unwrap();
+            acked.push(p.clone());
+        }
+        assert!(store.compact().unwrap(), "round {r} sealed nothing");
+        assert_eq!(store.generation(), r as u64 + 1);
+        let ctx = format!("round {r}");
+        let scratch_hot = assert_store_matches_scratch(&store, &acked, &ctx);
+        assert_index_equals_build(&store.sealed_index(), &acked, &ctx);
+        assert_eq!(store.hot_terms(), scratch_hot, "{ctx}: hot set differs from a full build");
+        let audit = store.check_bounds_soundness().unwrap();
+        assert!(audit.violations.is_empty(), "{ctx}: unsound bounds {:?}", audit.violations);
+        assert!(audit.checked > 0, "{ctx}: soundness sweep is vacuous");
+        hot_sets.push(scratch_hot);
+    }
+    assert!(rounds.len() >= 6, "at least six merge rounds");
+    assert!(
+        hot_sets.windows(2).any(|w| w[0] != w[1]),
+        "the hot set never changed across rounds: {hot_sets:?}"
+    );
+    assert!(
+        LATE_TERMS.iter().any(|t| hot_sets.last().unwrap().iter().any(|h| h == t)),
+        "no late term became hot: {:?}",
+        hot_sets.last()
+    );
+
+    // A live tail on top of the merged index, then a reopen: the full
+    // build at open must agree with the merged state bit for bit.
+    let tail: Vec<Post> = merge_rounds(32, 7)[0]
+        .iter()
+        .filter(|p| p.in_reply_to.is_none())
+        .take(20)
+        .enumerate()
+        .map(|(i, p)| {
+            let id = TweetId(1_000_000 + i as u64);
+            Post::original(id, p.user, p.location, format!("{} zeppelin", p.text))
+        })
+        .collect();
+    for p in &tail {
+        store.ingest(p.clone()).unwrap();
+        acked.push(p.clone());
+    }
+    let before = assert_store_matches_scratch(&store, &acked, "live tail");
+    drop(store);
+    let walfs: Arc<dyn WalFs> = fs as Arc<dyn WalFs>;
+    let (reopened, report) = IngestStore::open(walfs, config).unwrap();
+    assert_eq!(report.sealed_posts + report.live_posts, acked.len());
+    assert_eq!(assert_store_matches_scratch(&reopened, &acked, "after reopen"), before);
 }
