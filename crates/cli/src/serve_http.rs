@@ -102,6 +102,9 @@ fn parse_http_config(args: &Args) -> Result<HttpConfig, CliError> {
 
 /// `tklus serve-http` entry point.
 pub fn cmd_serve_http(raw: Vec<String>) -> Result<(), CliError> {
+    // Before the boot build grows the heap: keep the memory it frees from
+    // staying resident behind a risen trim threshold.
+    tklus_wal::fix_trim_threshold();
     let args = Args::parse(raw)?;
     args.check_known(&[
         "corpus",

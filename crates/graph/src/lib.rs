@@ -9,10 +9,12 @@
 //! database (I/O-counted, the configuration the paper measures; see
 //! `tklus-core::metadata`).
 
+pub mod levels;
 pub mod network;
 pub mod popularity;
 pub mod thread;
 
+pub use levels::ThreadLevels;
 pub use network::SocialNetwork;
 pub use popularity::{harmonic_tail, popularity, upper_bound_popularity};
 pub use thread::{build_thread, try_build_thread, ReplyProvider, TryReplyProvider, TweetThread};

@@ -321,7 +321,15 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
                         if keys.len() <= Node::<V>::leaf_capacity() {
                             self.save(id, &Node::Leaf { keys, vals, next })?;
                         } else {
-                            self.split_leaf(id, keys, vals, next, path)?;
+                            // An append past the largest key (rising keys,
+                            // e.g. tweet ids in time order) keeps the left
+                            // leaf full; any other insert splits evenly.
+                            let mid = if next.is_none() && i + 1 == keys.len() {
+                                i
+                            } else {
+                                keys.len() / 2
+                            };
+                            self.split_leaf(id, keys, vals, next, mid, path)?;
                         }
                         return Ok(None);
                     }
@@ -330,15 +338,17 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         }
     }
 
+    /// Splits an overfull leaf at `mid`: `keys[..mid]` stay, the rest move
+    /// to a new right sibling.
     fn split_leaf(
         &mut self,
         id: PageId,
         keys: Vec<Key>,
         vals: Vec<[u8; V]>,
         next: Option<PageId>,
+        mid: usize,
         path: Vec<(PageId, usize)>,
     ) -> StorageResult<()> {
-        let mid = keys.len() / 2;
         let right_keys: Vec<Key> = keys[mid..].to_vec();
         let right_vals: Vec<[u8; V]> = vals[mid..].to_vec();
         let sep = right_keys[0];
@@ -800,6 +810,50 @@ mod tests {
         }
         let incr_writes = incr.store().stats().page_writes();
         assert!(bulk_writes * 10 < incr_writes, "bulk {bulk_writes} vs incremental {incr_writes}");
+    }
+
+    #[test]
+    fn rising_key_inserts_pack_leaves_like_bulk_load() {
+        for n in [1u64, 170, 171, 5_000, 40_000] {
+            let entries: Vec<((u64, u64), [u8; 8])> = (0..n).map(|k| ((k, 0), v(k))).collect();
+            let bulk = Tree::bulk_load(MemPager::new(), &entries).unwrap();
+            let mut incr = Tree::new(MemPager::new()).unwrap();
+            for (k, val) in &entries {
+                incr.insert(*k, *val).unwrap();
+            }
+            let (b, i) = (bulk.store().page_count(), incr.store().page_count());
+            assert!(i <= b + 1, "n = {n}: {i} pages from appends vs {b} bulk-loaded");
+            assert_eq!(incr.scan((0, 0), (n, 0)).unwrap(), bulk.scan((0, 0), (n, 0)).unwrap());
+        }
+    }
+
+    #[test]
+    fn deletes_rebalance_a_tree_built_by_appends() {
+        // A hundred full leaves and a rightmost one holding a single key.
+        let n = Node::<8>::leaf_capacity() as u64 * 100 + 1;
+        let mut t = Tree::new(MemPager::new()).unwrap();
+        for k in 0..n {
+            t.insert((k, 0), v(k)).unwrap();
+        }
+        // Empty the rightmost leaf and shorten the full one before it, then
+        // thin the rest and refill a middle range.
+        for k in (n - 3..n).rev().chain((0..n - 3).step_by(3)) {
+            assert_eq!(t.delete((k, 0)).unwrap(), Some(v(k)), "delete {k}");
+        }
+        for k in (9_000..9_300u64).filter(|k| k.is_multiple_of(3)) {
+            assert_eq!(t.insert((k, 0), v(k)).unwrap(), None, "reinsert {k}");
+        }
+        let keep = |k: &u64| (*k < n - 3 && !k.is_multiple_of(3)) || (9_000..9_300).contains(k);
+        let want: Vec<u64> = (0..n).filter(keep).collect();
+        let got: Vec<u64> = t.scan((0, 0), (n, 0)).unwrap().iter().map(|e| e.0 .0).collect();
+        assert_eq!(got, want);
+        for k in (0..n).step_by(7) {
+            assert_eq!(t.get((k, 0)).unwrap(), keep(&k).then(|| v(k)), "get {k}");
+        }
+        for k in want {
+            t.delete((k, 0)).unwrap();
+        }
+        assert_eq!((t.len(), t.height()), (0, 0), "root collapsed back to a leaf");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! * [`store`] — [`IngestStore`], tying it together: WAL-acked ingest,
 //!   snapshot queries merging sealed and live candidates bitwise-equal
 //!   to a from-scratch engine, and atomic-manifest compaction.
+//! * [`heap`] — the glibc heap settings a long-running store needs.
 //!
 //! The correctness contracts — ack durability, replay idempotence,
 //! snapshot equality, loosen-only bound soundness — are exercised by the
@@ -35,6 +36,7 @@
 pub mod error;
 pub mod frame;
 pub mod fs;
+pub mod heap;
 pub mod log;
 pub mod memtable;
 pub mod record;
@@ -43,6 +45,7 @@ pub mod store;
 pub use error::WalError;
 pub use frame::{decode_step, encode_frame, FrameStep, FRAME_HEADER, MAX_FRAME_PAYLOAD};
 pub use fs::{SimFs, StdFs, WalFs};
+pub use heap::fix_trim_threshold;
 pub use log::{
     parse_segment_name, replay, segment_name, FsyncPolicy, RecoveryReport, WalConfig, WalWriter,
 };

@@ -21,7 +21,8 @@
 //!    to a from-scratch monolithic engine built over exactly the
 //!    recovered post set (which may exceed the acked set by unacked
 //!    records whose frames happened to survive whole: at-least-once, not
-//!    at-most-once).
+//!    at-most-once). The recovered store's bounds audit is clean, and
+//!    its thread level counts give Algorithm 1's φ for every post.
 //!
 //! `TKLUS_CHAOS_SEED` narrows the seed list to one — the CI crash-matrix
 //! variable.
@@ -165,6 +166,9 @@ fn crash_at(seed: u64, n: u64, posts: &[Post], qs: &[(TklusQuery, Ranking)]) {
         let want = reference.try_query(q, *ranking).unwrap().users;
         assert_eq!(got, want, "seed {seed} crash@{n}: post-recovery query diverged");
     }
+    let audit = store.check_bounds_soundness().unwrap();
+    assert!(audit.violations.is_empty(), "seed {seed} crash@{n}: unsound bounds after recovery");
+    assert_eq!(audit.phi_mismatches, 0, "seed {seed} crash@{n}: counted φ ≠ Algorithm 1");
 }
 
 #[test]
